@@ -8,11 +8,12 @@ paper), and the traversal utilities the partitioning algorithms rely on.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.node import PATH_SEPARATOR, MetadataNode
 
-__all__ = ["NamespaceTree", "NodeArena", "PathTable", "split_path"]
+__all__ = ["NamespaceTree", "NodeArena", "PathTable", "PopularitySupport", "split_path"]
 
 
 def split_path(path: str) -> List[str]:
@@ -126,15 +127,14 @@ class NodeArena:
     accounting without touching one Python object per node per op:
 
     * ``parent_id`` / ``depth`` / ``is_dir`` — structural columns,
-    * ``owner`` — a writable scratch column (server id per node, init ``-1``)
-      engines may fill from their placement view,
-    * :meth:`zero_loads` — a fresh per-node float load-counter window,
     * :meth:`aggregate_popularity` — Def. 2 aggregation over the columns.
 
     Aggregation replays the exact child→parent addition sequence of
     :meth:`NamespaceTree.aggregate_popularity` (recorded symbolically at
     build time), so the float sums it produces are bit-identical to the
-    object-walking version — same addends, same order. Like the path table,
+    object-walking version — same addends, same order. It covers the whole
+    tree; adjustment rounds use the sparse :class:`PopularitySupport`
+    replay instead, which skips the nodes without traffic. Like the path table,
     an arena is valid for one ``structure_version`` and is re-issued by
     :meth:`NamespaceTree.arena` after any structural mutation; popularity
     updates do not invalidate it.
@@ -147,7 +147,6 @@ class NodeArena:
         "parent_id",
         "depth",
         "is_dir",
-        "owner",
         "_agg_child",
         "_agg_parent",
     )
@@ -191,18 +190,11 @@ class NodeArena:
         self.parent_id = parent_id
         self.depth = depth
         self.is_dir = is_dir
-        self.owner = array("q", bytes(8 * size))
-        for i in range(size):
-            self.owner[i] = -1
         self._agg_child = agg_child
         self._agg_parent = agg_parent
 
     def __len__(self) -> int:
         return self.size
-
-    def zero_loads(self) -> List[float]:
-        """A fresh per-node load-counter window (indexed by node id)."""
-        return [0.0] * self.size
 
     def aggregate_popularity(self) -> None:
         """Recompute ``p_j`` for every node via the column replay.
@@ -219,6 +211,165 @@ class NodeArena:
             pop[pid] += pop[cid]
         for nid, node in enumerate(nodes):
             node.popularity = pop[nid]
+        self.tree._popularity_dirty = False
+
+
+class PopularitySupport:
+    """The part of one tree that can carry popularity.
+
+    ``active`` holds every node whose individual popularity ``p'_j`` may be
+    non-zero; ``members`` adds all of their ancestors. Outside the members
+    ``p'_j == p_j == 0.0``, so the whole-tree popularity passes can skip
+    those nodes and stay bit-identical: an outside node adds ``x + 0.0 ==
+    x`` to its parent and ``0.0 / R`` to a server's load. That makes a
+    heartbeat adjustment round cost O(support) instead of O(tree):
+
+    * :meth:`blend` — the per-round popularity update, over ``active``,
+    * :meth:`aggregate` — Def. 2 aggregation, a column replay over
+      ``members`` (reach it through :meth:`NamespaceTree.aggregate_popularity`),
+    * :meth:`Placement.loads` — the per-server sums, over ``active``.
+
+    The support only grows. It sees ``p'_j`` change through :meth:`blend`
+    and through nodes added to the tree since it last looked; any other
+    write of a non-zero ``p'_j`` outside it needs a fresh support.
+    Popularity is a count: never negative, never ``-0.0``.
+    """
+
+    __slots__ = (
+        "tree",
+        "members",
+        "active",
+        "_scanned",
+        "_version",
+        "_order",
+        "_up",
+        "_stray",
+    )
+
+    def __init__(self, tree: "NamespaceTree") -> None:
+        self.tree = tree
+        self.members: Set[MetadataNode] = set()
+        #: Node -> its ``p'_j`` when it joined (what :meth:`restore` puts
+        #: back), in join order.
+        self.active: Dict[MetadataNode, float] = {}
+        self._scanned = 0
+        self._version = tree.structure_version
+        #: Aggregation columns over the members reachable from the root:
+        #: post-order nodes (root last) and each one's parent position.
+        self._order: Optional[List[MetadataNode]] = None
+        self._up: List[int] = []
+        #: Detached members: the object walk leaves them at ``p'_j``.
+        self._stray: List[MetadataNode] = []
+        # A stale non-zero p_j counts too: aggregation must reset it.
+        self._scan()
+
+    def _scan(self) -> None:
+        """Take in the nodes registered since the last scan."""
+        nodes = self.tree._nodes
+        for node in islice(nodes, self._scanned, None):
+            if node.individual_popularity:
+                self._join(node)
+            elif node.popularity:
+                self._include(node)
+        self._scanned = len(nodes)
+
+    def _include(self, node: Optional[MetadataNode]) -> None:
+        """Make ``node`` and its ancestors members."""
+        members = self.members
+        while node is not None and node not in members:
+            members.add(node)
+            node = node.parent
+            self._order = None
+
+    def _join(self, node: MetadataNode) -> None:
+        if node not in self.active:
+            self.active[node] = node.individual_popularity
+            self._include(node)
+
+    def _sync(self) -> None:
+        """Catch up with structural mutations since the last call."""
+        tree = self.tree
+        if tree.structure_version == self._version:
+            return
+        self._version = tree.structure_version
+        self._scan()
+        # move_node can hang a member under a parent outside the support.
+        members = self.members
+        for node in list(members):
+            if node.parent is not None and node.parent not in members:
+                self._include(node.parent)
+        self._order = None
+
+    def _build(self) -> None:
+        """Record the object walk's addition order over the members."""
+        members = self.members
+        order: List[MetadataNode] = []
+        root = self.tree.root
+        stack = [(root, False)] if root in members else []
+        while stack:
+            node, children_done = stack.pop()
+            if children_done:
+                order.append(node)
+            else:
+                stack.append((node, True))
+                for child in node.children:
+                    if child in members:
+                        stack.append((child, False))
+        position = {node: i for i, node in enumerate(order)}
+        self._up = [position[node.parent] for node in order[:-1]]
+        self._stray = [node for node in members if node not in position]
+        self._order = order
+
+    def blend(self, window: Dict[int, float], weight: float) -> None:
+        """``p'_j <- (1 - weight) * p'_j + weight * window[j]`` on every live
+        node, ``window`` keyed by node id (absent ids observed 0.0).
+
+        Visits only ``active`` after joining the window's nodes to it; any
+        other node computes ``(1 - w) * 0.0 + w * 0.0 == 0.0 == p'_j``.
+        """
+        self._sync()
+        nodes = self.tree._nodes
+        active = self.active
+        for nid in window:
+            node = nodes[nid]
+            if node not in active:
+                self._join(node)
+        removed = self.tree._removed
+        targets = (
+            [n for n in active if n.node_id not in removed] if removed else active
+        )
+        keep = 1 - weight
+        observed = window.get
+        for node in targets:
+            node.individual_popularity = (
+                keep * node.individual_popularity
+                + weight * observed(node.node_id, 0.0)
+            )
+
+    def restore(self) -> None:
+        """Put back every ``p'_j`` the blends changed (aggregate after)."""
+        for node, popularity in self.active.items():
+            node.individual_popularity = popularity
+
+    def aggregate(self) -> None:
+        """Def. 2 over the members, bit-identical to the object walk.
+
+        The columns replay the walk's (child, parent) additions restricted
+        to the members, in the same post-order; the additions skipped are
+        all ``+ 0.0``. They are re-derived only when the support grows or
+        the tree's structure changes.
+        """
+        self._sync()
+        if self._order is None:
+            self._build()
+        order = self._order
+        pop = [node.individual_popularity for node in order]
+        for child, parent in enumerate(self._up):
+            pop[parent] += pop[child]
+        for node, value in zip(order, pop):
+            node.popularity = value
+        for node in self._stray:
+            node.popularity = node.individual_popularity
         self.tree._popularity_dirty = False
 
 
@@ -443,14 +594,19 @@ class NamespaceTree:
         node.individual_popularity += weight
         self._popularity_dirty = True
 
-    def aggregate_popularity(self) -> None:
+    def aggregate_popularity(self, support: Optional[PopularitySupport] = None) -> None:
         """Recompute total popularity ``p_j = p'_j + Σ p' (descendants)``.
 
         Runs one bottom-up pass over the tree. The paper sums only the
         *individual* popularity of descendants into the parent (Def. 2), which
         makes ``p_j`` the total traffic passing through ``n_j`` under
-        POSIX-style path traversal.
+        POSIX-style path traversal. With a ``support`` the pass visits only
+        its members, with a bit-identical result (see
+        :class:`PopularitySupport`).
         """
+        if support is not None:
+            support.aggregate()
+            return
         # Explicit post-order traversal from the root: registration order is
         # NOT a topological order once move_node has re-parented subtrees.
         # Removed subtrees are detached (parent None), so their popularity

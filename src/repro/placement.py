@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-init cycle
-    from repro.core.namespace import NamespaceTree
+    from repro.core.namespace import NamespaceTree, PopularitySupport
     from repro.core.node import MetadataNode
 
 __all__ = ["DEAD_CAPACITY", "Placement", "MetadataScheme", "Migration"]
@@ -55,6 +56,9 @@ class Placement:
         #: against the value they last saw instead of subscribing to
         #: individual call sites.
         self.version = 0
+        #: Bumped by :meth:`forget`, the one call that reorders keys.
+        self._forgets = 0
+        self._active_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Building
@@ -125,6 +129,7 @@ class Placement:
         Returns whether the node was placed.
         """
         self.version += 1
+        self._forgets += 1
         return self._servers_of.pop(node, None) is not None
 
     def placed_nodes(self) -> List[MetadataNode]:
@@ -137,7 +142,11 @@ class Placement:
     # ------------------------------------------------------------------
     # Metrics support
     # ------------------------------------------------------------------
-    def loads(self, tree: Optional[NamespaceTree] = None) -> List[float]:
+    def loads(
+        self,
+        tree: Optional[NamespaceTree] = None,
+        support: Optional[PopularitySupport] = None,
+    ) -> List[float]:
         """Per-server served load ``L_k`` (Sec. III-B).
 
         Each access is served by the server storing its target node, so a
@@ -147,15 +156,47 @@ class Placement:
         traffic evenly — the query-pressure dispersion D2-Tree's global layer
         is designed for. Note a whole subtree's served load equals its root's
         *total* popularity, matching Sec. IV-A1's ``s_i``.
+
+        With a ``support`` the sum visits only its ``active`` nodes, in
+        placement order; every node it skips would add ``0.0``, so the
+        result is bit-identical (see :class:`PopularitySupport`).
         """
         if tree is not None:
             tree.ensure_popularity()
         loads = [0.0] * self.num_servers
-        for node, servers in self._servers_of.items():
+        servers_of = self._servers_of
+        placed = servers_of if support is None else self._placed_active(support)
+        for node in placed:
+            servers = servers_of[node]
             share = node.individual_popularity / len(servers)
             for server in servers:
                 loads[server] += share
         return loads
+
+    def _placed_active(self, support: PopularitySupport) -> List[MetadataNode]:
+        """The placed nodes of ``support.active``, in placement order.
+
+        Filtering the whole placement touches every node object, so the
+        result is cached. New keys only ever append to the placement's
+        order, so the cache stays valid across appends (only the new tail
+        is filtered); a :meth:`forget`, a grown support or another support
+        rebuilds it. An ``active`` that only grows is identified by its
+        length.
+        """
+        servers_of = self._servers_of
+        active = support.active
+        size = len(servers_of)
+        stamp = (support, len(active), self._forgets)
+        cached = self._active_cache
+        if cached is None or cached[0] != stamp or size < cached[1]:
+            order = list(filter(active.__contains__, servers_of))
+        else:
+            order = cached[2]
+            if size > cached[1]:
+                tail = list(islice(reversed(servers_of), size - cached[1]))
+                order = order + [n for n in reversed(tail) if n in active]
+        self._active_cache = (stamp, size, order)
+        return order
 
     def jumps_for(self, node: MetadataNode) -> int:
         """Jump count ``jp_j`` of Def. 1 for a path traversal to ``node``.

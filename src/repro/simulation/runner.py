@@ -13,6 +13,7 @@ Two replay modes:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -24,7 +25,7 @@ from repro.cluster.locks import LockManager
 from repro.cluster.mds import MetadataServer
 from repro.cluster.messages import Heartbeat, RoutePlan, Visit, VisitKind
 from repro.cluster.monitor import MonitorGroup
-from repro.core.namespace import NamespaceTree
+from repro.core.namespace import NamespaceTree, PopularitySupport
 from repro.core.partition import D2TreePlacement
 from repro.metrics.balance import balance_degree
 from repro.cluster.cache import LRUCache
@@ -250,12 +251,11 @@ class ClusterSimulator:
             if self.telemetry is not NULL_TELEMETRY:
                 self.telemetry.attach_spans(self.spans)
         self._initial_capacities = list(self.placement.capacities)
-        self._window_counts: Dict[str, float] = {}
-        # Snapshot popularity so a run never leaks adjusted estimates into
-        # the shared workload (simulations must be independent).
-        self._initial_popularity = [
-            node.individual_popularity for node in self.tree
-        ]
+        #: Where adjustment rounds can find popularity; it also remembers
+        #: each blended node's starting value, so a run never leaks adjusted
+        #: estimates into the shared workload (simulations must be
+        #: independent).
+        self._support = PopularitySupport(self.tree)
         # Telemetry wiring: lock contention, adjustment rounds and the
         # sim-time gauge sampler all hang off one Telemetry per run. A
         # scheme's adjuster is shared state, so it is re-pointed (or
@@ -356,21 +356,32 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Adjustment (heartbeat-driven, mid-replay)
     # ------------------------------------------------------------------
-    def _adjust(self, now: float = 0.0) -> None:
+    def _adjust(self, now: float, window: Dict[int, float]) -> None:
+        """One adjustment round, shared by both engines.
+
+        ``window`` holds the ops completed since the last round, keyed by
+        node id; the round folds it into the popularity estimates and
+        clears it. The popularity blend, the Def. 2 re-aggregation and the
+        load sums visit only the popularity support (O(nodes with
+        traffic), bit-identical to whole-tree passes; see
+        :class:`~repro.core.namespace.PopularitySupport`).
+
+        On a columnar run the per-visit decaying access counters are not
+        kept (the hot loop skips ``record_access``), so each heartbeat's
+        decayed-load estimate is 0.0. That is unobservable fault-free:
+        rebalance reads tree popularity and placement only, and the
+        liveness bookkeeping (``last_seen``) is identical.
+        """
         self.telemetry.set_time(now)
-        blend = self.config.popularity_blend
-        for node in self.tree:
-            observed = self._window_counts.get(node.path, 0.0)
-            node.individual_popularity = (
-                (1 - blend) * node.individual_popularity + blend * observed
-            )
-        self.tree.aggregate_popularity()
-        self._window_counts.clear()
+        support = self._support
+        support.blend(window, self.config.popularity_blend)
+        window.clear()
+        self.tree.aggregate_popularity(support)
         # Heartbeats (Sec. IV-B): every live MDS reports its decayed load
         # level and relative capacity to the Monitor, which runs the
         # adjustment. Dead and heartbeat-muted servers stay silent — their
         # absence is what failure detection keys off.
-        loads = self.placement.loads()
+        loads = self.placement.loads(support=support)
         total_cap = sum(self.placement.capacities)
         mu = sum(loads) / total_cap if total_cap > 0 else 0.0
         net = self.network
@@ -832,9 +843,8 @@ class ClusterSimulator:
         try:
             return self._run()
         finally:
-            for node, popularity in zip(self.tree.nodes, self._initial_popularity):
-                node.individual_popularity = popularity
-            self.tree.aggregate_popularity()
+            self._support.restore()
+            self.tree.aggregate_popularity(self._support)
 
     def _run(self) -> SimulationResult:
         """Pick the replay engine (see ``SimulationConfig.simulate_engine``)."""
@@ -945,6 +955,8 @@ class ClusterSimulator:
         makespan = 0.0
         completed = 0
         next_record = 0
+        #: node id -> ops completed since the last adjustment round.
+        window: Dict[int, float] = defaultdict(float)
         seq = itertools.count()
         #: (event_time, tiebreak, op) where op is a mutable dict.
         events: List = []
@@ -1240,9 +1252,7 @@ class ClusterSimulator:
                 )
             if completion > makespan:
                 makespan = completion
-            self._window_counts[op["path"]] = (
-                self._window_counts.get(op["path"], 0.0) + 1.0
-            )
+            window[op["node"].node_id] += 1.0
             completed += 1
             while (
                 ops_cursor < len(ops_faults)
@@ -1251,7 +1261,7 @@ class ClusterSimulator:
                 self._fire_fault(ops_faults[ops_cursor], completion)
                 ops_cursor += 1
             if cfg.adjust_every_ops and completed % cfg.adjust_every_ops == 0:
-                self._adjust(now=completion)
+                self._adjust(completion, window)
             dispatch(client, completion)
 
         # Crashes the Monitor never got to detect (detection disabled, or the
@@ -1302,8 +1312,9 @@ class ClusterSimulator:
         replaced by per-client *slot* arrays (a closed loop has at most one
         in-flight op per client); server CPU timelines are inlined as
         parallel lists (synced to the real objects around rebalancing, which
-        charges migration CPU on them); and per-op load counts land in an
-        arena window indexed by node id.
+        charges migration CPU on them); and per-op load counts land in the
+        adjustment window keyed by node id, which both engines hand to the
+        one shared round, :meth:`_adjust`.
 
         Parity: every dropped branch is unobservable under
         :meth:`_columnar_eligible` — heartbeat rounds only refresh Monitor
@@ -1312,8 +1323,8 @@ class ClusterSimulator:
         stats feed nothing, and telemetry/durability hooks are disabled by
         the gate. Everything observable — service order (same heap order:
         identical (time, seq) keys), lock sequencing, CREATE placement, the
-        adjustment cadence with Def. 2 re-aggregation, migration charging —
-        runs through the same code or an order-exact replay of it.
+        adjustment rounds, migration charging — runs through the same code
+        or an order-exact replay of it.
         """
         import heapq
         from itertools import count
@@ -1360,8 +1371,7 @@ class ClusterSimulator:
             rec_visit = rec.visit
             rec_finish = rec.finish
 
-        arena = tree.arena()  # static structure mid-replay
-        window = arena.zero_loads()
+        window: Dict[int, float] = defaultdict(float)
 
         servers = self.servers
         busy_until = [s.cpu.busy_until for s in servers]
@@ -1509,9 +1519,8 @@ class ClusterSimulator:
                 # Rebalancing charges migration CPU on the real timeline
                 # objects, so the inlined columns sync out and back in.
                 sync_out()
-                self._adjust_columnar(completion, window, arena)
+                self._adjust(completion, window)
                 sync_in()
-                window = arena.zero_loads()
             # Inlined dispatch (see the seed loop above).
             if b_idx >= b_len:
                 batch = next(batches, None)
@@ -1577,43 +1586,6 @@ class ClusterSimulator:
             availability=self.availability,
             durability=None,
         )
-
-    def _adjust_columnar(self, now: float, window: List[float], arena) -> None:
-        """The eligible-run subset of :meth:`_adjust`.
-
-        Same popularity blend (identical float expression over the same
-        node order), same Def. 2 re-aggregation (the arena replays the
-        object walk's addition order exactly), same heartbeat load reports
-        to the Monitor, same rebalance + migration charging. The one
-        divergence is unobservable: per-visit decaying access counters are
-        not maintained (the hot loop skips ``record_access``), so the
-        heartbeat's decayed-load estimate is 0.0 — nothing fault-free
-        consumes it (rebalance reads tree popularity and placement only),
-        and the liveness bookkeeping (``last_seen``) is identical.
-        """
-        blend = self.config.popularity_blend
-        for node in self.tree:
-            observed = window[node.node_id]
-            node.individual_popularity = (
-                (1 - blend) * node.individual_popularity + blend * observed
-            )
-        arena.aggregate_popularity()
-        loads = self.placement.loads()
-        capacities = self.placement.capacities
-        total_cap = sum(capacities)
-        mu = sum(loads) / total_cap if total_cap > 0 else 0.0
-        for server in self.servers:
-            # Every server is alive and the network perfect (eligibility),
-            # so the per-op loop's liveness/delivery branches never fire.
-            load = server.load_report(now)
-            relative = loads[server.server_id] - mu * capacities[server.server_id]
-            self.monitor.on_heartbeat(
-                Heartbeat(server.server_id, now, load, relative)
-            )
-        moves = self.monitor.rebalance(now)
-        self.migrations += len(moves)
-        self._charge_migrations(moves)
-        self._record_adjust_spans(now, len(moves), mu)
 
     def close(self) -> None:
         """Release the durable store's files (idempotent)."""

@@ -8,7 +8,9 @@
   sockets; :mod:`repro.transport.live` runs each MDS and Monitor replica
   as a task speaking the framed wire form of ``cluster.messages``.
 
-See ``docs/SERVE.md`` for the live-mode architecture and CLI usage.
+See ``docs/SERVE.md`` for the live-mode architecture and CLI usage. The
+package re-exports only :mod:`repro.transport.base`: the simulator imports
+it, and the wire codec (with asyncio) loads only on the live path.
 """
 
 from repro.transport.base import (
@@ -18,17 +20,6 @@ from repro.transport.base import (
     mds_addr,
     mon_addr,
 )
-from repro.transport.wire import (
-    FrameError,
-    MAX_FRAME_BYTES,
-    decode_payload,
-    encode_frame,
-    encode_message,
-    read_frame,
-    read_message,
-    write_frame,
-    write_message,
-)
 
 __all__ = [
     "CLIENT_ADDR",
@@ -36,13 +27,4 @@ __all__ = [
     "Transport",
     "mds_addr",
     "mon_addr",
-    "FrameError",
-    "MAX_FRAME_BYTES",
-    "decode_payload",
-    "encode_frame",
-    "encode_message",
-    "read_frame",
-    "read_message",
-    "write_frame",
-    "write_message",
 ]

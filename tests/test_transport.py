@@ -9,6 +9,9 @@ refuses connections like a dead process.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +255,20 @@ def test_delay_defers_the_write():
 def test_rejects_unknown_mode():
     with pytest.raises(ValueError, match="transport mode"):
         AsyncioTransport(mode="carrier-pigeon")
+
+
+def test_sim_path_loads_no_asyncio():
+    """The simulator imports ``repro.transport.base`` only: a fresh
+    interpreter running ``repro simulate``'s imports loads neither the
+    wire codec nor asyncio."""
+    code = (
+        "import sys, repro.cli, repro.simulation, repro.traces; "
+        "print(sorted(m for m in ('asyncio', 'repro.transport.wire') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
